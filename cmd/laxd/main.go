@@ -13,8 +13,11 @@
 //	laxd -faults "retire=4@2s;abort=0.05"  # per-device fault specs, ';'-separated
 //	laxd -queue 256 -drain 10s             # accept-queue depth, shutdown grace
 //
-// Endpoints: POST /v1/jobs (?wait=1 blocks until terminal), GET /v1/jobs/{id},
-// GET /v1/jobs/{id}/trace (per-job timeline + slack attribution),
+// Endpoints: POST /v1/jobs (?wait=1 blocks until terminal), GET /v1/jobs/{id}
+// (?wait=1 holds the request until the job is terminal, the client leaves or
+// a 2 s hold cap expires, then answers the current status — how laxgw
+// follows remote jobs), GET /v1/jobs/{id}/trace (per-job timeline + slack
+// attribution),
 // GET /v1/traces, GET /v1/events (SSE), GET /v1/benchmarks,
 // GET /metrics (Prometheus), GET /healthz.
 //

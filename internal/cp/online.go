@@ -71,7 +71,12 @@ func (s *System) SubmitNow(job *workload.Job) *JobRun {
 	catchup := iv > 0 && !s.timerArmed && s.eng.Now() >= iv && s.eng.Now()%iv == 0
 
 	s.arrivalsLeft++ // arrive() decrements; net zero for injected jobs
+	s.live++
 	s.arrive(jr)
+	if jr.state == JobRejected {
+		s.live--
+		s.jobs[job.ID] = nil
+	}
 
 	if catchup {
 		s.eng.Schedule(s.eng.Now(), func() {
@@ -97,6 +102,9 @@ func (s *System) SubmitNow(job *workload.Job) *JobRun {
 func (s *System) Unfinished() []*JobRun {
 	var out []*JobRun
 	for _, jr := range s.jobs {
+		if jr == nil {
+			continue // retired
+		}
 		switch jr.state {
 		case JobDone, JobRejected, JobCancelled:
 		default:
@@ -104,6 +112,26 @@ func (s *System) Unfinished() []*JobRun {
 		}
 	}
 	return out
+}
+
+// UnfinishedCount returns len(Unfinished()) of an online system without
+// scanning every job ever submitted.
+func (s *System) UnfinishedCount() int { return s.live }
+
+// retire counts an online job out as it turns terminal; call it before the
+// state changes. A job that fell back to the CPU can finish twice — on the
+// CPU path, and again if WGs it had in flight complete its last kernel —
+// and only the first counts. With release set the system also drops its
+// reference to the job, so a long-running node holds JobRuns only for
+// unfinished work. A job whose WGs may still be in flight keeps it, since
+// device callbacks look jobs up by ID.
+func (s *System) retire(jr *JobRun, release bool) {
+	if jr.state != JobDone {
+		s.live--
+	}
+	if release {
+		s.jobs[jr.Job.ID] = nil
+	}
 }
 
 // FallBackToCPU gives up on executing the job on the GPU and completes its

@@ -315,6 +315,9 @@ func (s *System) fallbackToCPU(jr *JobRun) {
 	}
 	cpuTime := sim.Time(float64(remaining) * s.cfg.Recovery.CPUSlowdown)
 	s.eng.After(cpuTime, func() {
+		if s.online {
+			s.retire(jr, false) // WGs it had in flight may still complete
+		}
 		jr.state = JobDone
 		jr.FinishTime = s.eng.Now()
 		s.completed++

@@ -112,6 +112,10 @@ type System struct {
 	// modes make identical scheduling decisions for identical submissions.
 	online bool
 
+	// live counts online jobs not yet terminal, so UnfinishedCount needs no
+	// scan (maintained in online mode only; see retire).
+	live int
+
 	completed int
 	rejected  int
 
@@ -178,14 +182,16 @@ func (s *System) Config() SystemConfig { return s.cfg }
 // Now returns the current simulated time.
 func (s *System) Now() sim.Time { return s.eng.Now() }
 
-// Jobs returns every job in the trace (indexed by job ID).
+// Jobs returns every job in the trace (indexed by job ID). In online mode
+// a job the system has retired (see retire) leaves a nil slot: callers
+// that need finished jobs keep the JobRuns SubmitNow returned.
 func (s *System) Jobs() []*JobRun { return s.jobs }
 
 // Active returns the jobs currently admitted and unfinished, in arrival
 // order. The caller must not retain or mutate the slice across events.
 func (s *System) Active() []*JobRun { return s.active }
 
-// Job returns the JobRun for a job ID.
+// Job returns the JobRun for a job ID (nil for a retired online job).
 func (s *System) Job(id int) *JobRun { return s.jobs[id] }
 
 // SetTracer installs a structured run tracer (JSON lines). Pass nil to
@@ -374,6 +380,9 @@ func (s *System) Cancel(jr *JobRun) {
 	}
 	jr.state = JobCancelled
 	jr.FinishTime = s.eng.Now()
+	if s.online {
+		s.retire(jr, false) // its in-flight WGs still drain
+	}
 	s.tracer.jobEvent("cancel", s.eng.Now(), jr)
 	s.probeJob(obs.JobCancel, jr)
 	jr.Pause() // no further WG dispatch from any of its kernels
@@ -469,6 +478,9 @@ func (s *System) recheckBlocked() {
 // finish retires a completed job, frees its queue, and pulls the next
 // host-queued job in.
 func (s *System) finish(jr *JobRun) {
+	if s.online {
+		s.retire(jr, true) // every kernel is done: no device event names it again
+	}
 	jr.state = JobDone
 	jr.FinishTime = s.eng.Now()
 	s.completed++

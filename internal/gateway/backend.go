@@ -248,7 +248,7 @@ func (b *InprocBackend) Probe(now sim.Time) (Headroom, error) {
 		}
 		h = Headroom{
 			Drain:        b.node.EstimateDrain(),
-			Unfinished:   len(b.node.Unfinished()),
+			Unfinished:   b.node.UnfinishedCount(),
 			Capacity:     1,
 			CapacityFrac: frac,
 		}

@@ -132,6 +132,21 @@ type entry struct {
 	done       chan struct{}
 }
 
+// spentDone replaces an entry's done channel once it is closed, so the
+// journal does not keep a spent channel per finished job.
+var spentDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// closeLocked signals the entry's first terminal transition. Caller holds
+// gw.mu.
+func (e *entry) closeLocked() {
+	close(e.done)
+	e.done = spentDone
+}
+
 // spanLocked appends one gateway-side instant event to the entry's timeline.
 // Caller holds gw.mu.
 func (e *entry) spanLocked(now sim.Time, name, detail string) {
@@ -705,7 +720,7 @@ func (gw *Gateway) complete(id int64, o Outcome) {
 			gw.maybeRetireLocked(gw.clock.Now(), g)
 		}
 	}
-	close(e.done)
+	e.closeLocked()
 }
 
 // missCauseLocked names the dominant cause of a missed deadline: the node's
@@ -784,7 +799,7 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 		e.reason = serve.ReasonUnhealthy
 		e.retryUs = usOf(gw.opt.ProbeBackoff)
 		gw.rejectCauseLocked(e)
-		close(e.done)
+		e.closeLocked()
 		gw.mu.Unlock()
 		gw.cUnhealthy.Inc()
 		return job.ID, Verdict{Retry: gw.opt.ProbeBackoff}, serve.ReasonUnhealthy
@@ -794,7 +809,7 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 		e.reason = serve.ReasonShed
 		e.retryUs = usOf(wait)
 		gw.rejectCauseLocked(e)
-		close(e.done)
+		e.closeLocked()
 		gw.mu.Unlock()
 		gw.cShed[class].Inc()
 		return job.ID, Verdict{Retry: wait}, serve.ReasonShed
@@ -844,7 +859,7 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 			e.reason = serve.ReasonAdmission
 			e.retryUs = usOf(v.Retry)
 			gw.rejectCauseLocked(e)
-			close(e.done)
+			e.closeLocked()
 		}
 		gw.mu.Unlock()
 		if v.Accepted {
@@ -861,7 +876,7 @@ func (gw *Gateway) Submit(bench *workload.Benchmark, deadline sim.Time, class Cl
 	e.reason = serve.ReasonUnhealthy
 	e.retryUs = usOf(gw.opt.ProbeBackoff)
 	gw.rejectCauseLocked(e)
-	close(e.done)
+	e.closeLocked()
 	gw.mu.Unlock()
 	gw.cUnhealthy.Inc()
 	return job.ID, Verdict{Retry: gw.opt.ProbeBackoff}, serve.ReasonUnhealthy

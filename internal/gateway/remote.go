@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,64 +18,86 @@ import (
 )
 
 // RemoteBackend fronts one laxd daemon over HTTP: probes hit GET
-// /v1/headroom, submissions POST /v1/jobs without waiting, and a background
-// poller follows each accepted job's GET /v1/jobs/{id} record to its
-// terminal state. The gateway cannot tell it apart from an in-process node
-// — which is the point: the chaos suite exercises failover in-process, and
-// the same journal and breakers protect a real fleet.
+// /v1/headroom, submissions POST /v1/jobs without waiting, and each
+// accepted job is followed by a waiting GET /v1/jobs/{id}?wait=1 that laxd
+// answers the moment the job turns terminal. The gateway cannot tell it
+// apart from an in-process node — which is the point: the chaos suite
+// exercises failover in-process, and the same journal and breakers protect
+// a real fleet.
 type RemoteBackend struct {
 	name   string
 	base   string
 	client *http.Client
 
-	// Poll is the wall interval between job-status polls (default 25ms).
+	// Poll is the wall backoff before re-issuing a completion wait that
+	// failed in transport, e.g. against a dead node (default 25ms).
 	Poll time.Duration
 
-	mu      sync.Mutex
-	stopped bool
-	stop    chan struct{}
+	ctx       context.Context // cancelled by Close; every request carries it
+	cancel    context.CancelFunc
+	followers sync.WaitGroup // one per accepted job still being followed
 }
 
+// remoteIdlePerHost is the default client's idle-connection pool per node.
+// Every accepted job holds one waiting GET, so the pool keeps as many warm
+// connections as laxd lets one client have jobs in flight (its default
+// MaxPerClient); net/http's default of 2 would redial for most of them.
+const remoteIdlePerHost = 64
+
 // NewRemoteBackend fronts the laxd daemon at base (e.g.
-// "http://127.0.0.1:8080"). name identifies it in journals and metrics.
+// "http://127.0.0.1:8080"). name identifies it in journals and metrics. A
+// nil client selects a 5 s timeout over a pooled transport of its own.
 func NewRemoteBackend(name, base string, client *http.Client) *RemoteBackend {
 	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = remoteIdlePerHost
+		client = &http.Client{Timeout: 5 * time.Second, Transport: tr}
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &RemoteBackend{
 		name:   name,
 		base:   strings.TrimRight(base, "/"),
 		client: client,
 		Poll:   25 * time.Millisecond,
-		stop:   make(chan struct{}),
+		ctx:    ctx,
+		cancel: cancel,
 	}
 }
 
 // Name implements Backend.
 func (b *RemoteBackend) Name() string { return b.name }
 
-// Close stops every outstanding completion poller.
+// Close cancels every outstanding completion wait (and any request still
+// in flight) and returns once every follower has exited; no done callback
+// fires after it. Call it after the last Submit.
 func (b *RemoteBackend) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.stopped {
-		b.stopped = true
-		close(b.stop)
+	b.cancel()
+	b.followers.Wait()
+}
+
+// get fetches url and decodes its JSON body into v, reading the body to
+// the end so the connection returns to the pool.
+func (b *RemoteBackend) get(url string, v any) error {
+	req, err := http.NewRequestWithContext(b.ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
 	}
+	resp, err := b.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	defer io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("gateway: %s: GET %s: status %d", b.name, req.URL.Path, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // Probe implements Backend via GET /v1/headroom.
 func (b *RemoteBackend) Probe(now sim.Time) (Headroom, error) {
-	resp, err := b.client.Get(b.base + "/v1/headroom")
-	if err != nil {
-		return Headroom{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Headroom{}, fmt.Errorf("gateway: %s: headroom status %d", b.name, resp.StatusCode)
-	}
 	var hs serve.HeadroomStatus
-	if err := json.NewDecoder(resp.Body).Decode(&hs); err != nil {
+	if err := b.get(b.base+"/v1/headroom", &hs); err != nil {
 		return Headroom{}, err
 	}
 	return Headroom{
@@ -94,8 +117,8 @@ type remoteSubmit struct {
 	DeadlineUs int64  `json:"deadline_us,omitempty"`
 }
 
-// Submit implements Backend: POST the job, interpret the verdict, and poll
-// the job record to its terminal state in the background.
+// Submit implements Backend: POST the job, interpret the verdict, and
+// follow the job record to its terminal state in the background.
 func (b *RemoteBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verdict, error) {
 	body, err := json.Marshal(remoteSubmit{
 		Benchmark:  job.Benchmark,
@@ -104,7 +127,7 @@ func (b *RemoteBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verd
 	if err != nil {
 		return Verdict{}, err
 	}
-	req, err := http.NewRequest(http.MethodPost, b.base+"/v1/jobs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(b.ctx, http.MethodPost, b.base+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -129,6 +152,7 @@ func (b *RemoteBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verd
 		if err := json.Unmarshal(raw, &st); err != nil {
 			return Verdict{}, err
 		}
+		b.followers.Add(1)
 		go b.follow(st.ID, done)
 		return Verdict{Accepted: true, RemoteID: st.ID}, nil
 	case http.StatusTooManyRequests:
@@ -145,16 +169,8 @@ func (b *RemoteBackend) Submit(now sim.Time, job *Job, done func(Outcome)) (Verd
 
 // JobTrace implements TraceSource via GET /v1/jobs/{id}/trace on the node.
 func (b *RemoteBackend) JobTrace(remoteID int64, traceID string) (obs.WireTrace, bool) {
-	resp, err := b.client.Get(fmt.Sprintf("%s/v1/jobs/%d/trace", b.base, remoteID))
-	if err != nil {
-		return obs.WireTrace{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return obs.WireTrace{}, false
-	}
 	var doc obs.TraceDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := b.get(fmt.Sprintf("%s/v1/jobs/%d/trace", b.base, remoteID), &doc); err != nil {
 		return obs.WireTrace{}, false
 	}
 	if traceID != "" && doc.Trace.TraceID != traceID {
@@ -163,27 +179,24 @@ func (b *RemoteBackend) JobTrace(remoteID int64, traceID string) (obs.WireTrace,
 	return doc.Trace, true
 }
 
-// follow polls one accepted job's record until it turns terminal, then
-// fires done. If the node dies, the poll errors forever and done never
-// fires — exactly the lost completion the gateway's failover recovers.
+// follow waits on one accepted job until it turns terminal, then fires
+// done. laxd holds each GET ?wait=1 until the job is terminal or its hold
+// cap expires, so a non-terminal answer re-issues the wait at once; a
+// transport error backs off Poll first. If the node dies, every wait errors
+// and done never fires — exactly the lost completion the gateway's
+// failover recovers. Close ends the loop.
 func (b *RemoteBackend) follow(remoteID int64, done func(Outcome)) {
-	url := fmt.Sprintf("%s/v1/jobs/%d", b.base, remoteID)
-	t := time.NewTicker(b.Poll)
-	defer t.Stop()
-	for {
-		select {
-		case <-b.stop:
-			return
-		case <-t.C:
-		}
-		resp, err := b.client.Get(url)
-		if err != nil {
-			continue
-		}
+	defer b.followers.Done()
+	url := fmt.Sprintf("%s/v1/jobs/%d?wait=1", b.base, remoteID)
+	for b.ctx.Err() == nil {
 		var st serve.JobStatus
-		decErr := json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if decErr != nil || resp.StatusCode != http.StatusOK {
+		if err := b.get(url, &st); err != nil {
+			backoff := time.NewTimer(b.Poll)
+			select {
+			case <-backoff.C:
+			case <-b.ctx.Done():
+				backoff.Stop()
+			}
 			continue
 		}
 		switch st.State {
@@ -196,12 +209,9 @@ func (b *RemoteBackend) follow(remoteID int64, done func(Outcome)) {
 				Cause:    st.MissCause,
 			})
 			return
-		case "cancelled":
-			done(Outcome{Terminal: verify.FleetCancelled, Cause: st.MissCause})
-			return
-		case "rejected", "dropped":
-			// Should not happen for an accepted job; treat as cancelled so
-			// the journal still closes the entry.
+		case "cancelled", "rejected", "dropped":
+			// Rejected and dropped should not happen for an accepted job;
+			// treat them as cancelled so the journal still closes the entry.
 			done(Outcome{Terminal: verify.FleetCancelled, Cause: st.MissCause})
 			return
 		}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"laxgpu/internal/sim"
@@ -45,6 +46,11 @@ type Span struct {
 	Start  sim.Time
 	End    sim.Time
 	Detail string
+
+	// seq is a kernel span's launch sequence number. The recorder keeps
+	// the int on the per-kernel path and snapshot formats it into Detail
+	// ("seq N"), so recording a kernel formats no string.
+	seq int
 }
 
 // JobTrace is one job's complete timeline on one node, assembled by a
@@ -227,6 +233,11 @@ func (r *TraceRecorder) lookupLocked(job int) *JobTrace {
 func snapshot(t *JobTrace) JobTrace {
 	c := *t
 	c.Spans = append([]Span(nil), t.Spans...)
+	for i := range c.Spans {
+		if sp := &c.Spans[i]; sp.Kind == SpanKernel {
+			sp.Detail = "seq " + strconv.Itoa(sp.seq)
+		}
+	}
 	return c
 }
 
@@ -381,7 +392,6 @@ func (r *TraceRecorder) KernelDone(e KernelDone) {
 		return
 	}
 	t.Spans = append(t.Spans, Span{
-		Kind: SpanKernel, Name: e.Kernel, Start: e.Start, End: e.At,
-		Detail: fmt.Sprintf("seq %d", e.Seq),
+		Kind: SpanKernel, Name: e.Kernel, Start: e.Start, End: e.At, seq: e.Seq,
 	})
 }

@@ -76,6 +76,34 @@ func TestTraceRecorderPhasePartition(t *testing.T) {
 	}
 }
 
+// TestTraceRecorderKernelSpanDetail pins the kernel span's "seq N" detail,
+// which the recorder formats at export time rather than per kernel.
+func TestTraceRecorderKernelSpanDetail(t *testing.T) {
+	r := NewTraceRecorder(8)
+	check := func(when string) {
+		t.Helper()
+		tr, ok := r.Get(0)
+		if !ok {
+			t.Fatalf("%s: trace not recorded", when)
+		}
+		var details []string
+		for _, s := range tr.Wire("n").Spans {
+			if s.Kind == SpanKernel {
+				details = append(details, s.Detail)
+			}
+		}
+		if len(details) != 1 || details[0] != "seq 7" {
+			t.Errorf("%s: kernel span details = %q, want [seq 7]", when, details)
+		}
+	}
+	r.Job(JobEvent{At: 0, Kind: JobArrive, Job: 0, Benchmark: "LSTM", Deadline: 1000 * usT})
+	r.KernelStart(KernelStart{At: 10 * usT, Job: 0, Seq: 7, Kernel: "gemm"})
+	r.KernelDone(KernelDone{At: 20 * usT, Job: 0, Seq: 7, Kernel: "gemm", Start: 10 * usT})
+	check("live")
+	r.Job(JobEvent{At: 30 * usT, Kind: JobFinish, Job: 0, Met: true})
+	check("finished")
+}
+
 func TestTraceRecorderBehindCount(t *testing.T) {
 	r := NewTraceRecorder(8)
 	// Three jobs admitted before job 2 dispatches; none finished yet.

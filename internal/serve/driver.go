@@ -182,7 +182,7 @@ func (d *Driver) loop() {
 func (d *Driver) drain(deadline time.Time) int {
 	for {
 		d.node.AdvanceTo(d.clock.Now())
-		if len(d.node.Unfinished()) == 0 {
+		if d.node.UnfinishedCount() == 0 {
 			return 0
 		}
 		te, ok := d.node.NextEvent()

@@ -117,7 +117,7 @@ func TestDriverPacesSubmittedJob(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var left int
-		if !d.Call(func() { left = len(node.Unfinished()) }) {
+		if !d.Call(func() { left = node.UnfinishedCount() }) {
 			t.Fatal("driver stopped while polling")
 		}
 		if left == 0 {

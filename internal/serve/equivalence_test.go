@@ -37,22 +37,25 @@ func runSim(t *testing.T, policy string, set *workload.JobSet) []*cp.JobRun {
 
 // replayOnline pushes the same trace through a Node exactly as the serving
 // frontend does — advance to the arrival instant, submit, read the verdict —
-// then runs the remaining events to quiescence.
+// then runs the remaining events to quiescence. It keeps the JobRuns Submit
+// returns, as a frontend does: the node itself lets go of finished jobs.
 func replayOnline(t *testing.T, policy string, set *workload.JobSet) []*cp.JobRun {
 	t.Helper()
 	node, err := NewNode(NodeConfig{Scheduler: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var runs []*cp.JobRun
 	for _, j := range set.Jobs {
 		node.AdvanceTo(j.Arrival)
 		jr := node.Submit(j)
 		if jr.Job.ID != j.ID {
 			t.Fatalf("online replay renumbered job %d to %d", j.ID, jr.Job.ID)
 		}
+		runs = append(runs, jr)
 	}
 	node.System().Engine().Run()
-	return node.System().Jobs()
+	return runs
 }
 
 // compareRuns asserts per-job outcome identity between the two modes.
@@ -167,7 +170,7 @@ func TestNodeOverloadVerdicts(t *testing.T) {
 			}
 		}
 		node.System().Engine().Run()
-		for _, jr := range node.Unfinished() {
+		for _, jr := range node.System().Unfinished() {
 			t.Errorf("job %d not terminal after quiescence", jr.Job.ID)
 		}
 		return rejected

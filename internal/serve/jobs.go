@@ -2,7 +2,6 @@ package serve
 
 import (
 	"sync"
-	"time"
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/sim"
@@ -61,16 +60,24 @@ type JobStatus struct {
 }
 
 // record is the server-side state behind a JobStatus. Mutable fields are
-// guarded by the owning recordTable's mutex; run is only dereferenced on the
-// driver goroutine of the owning device.
+// guarded by the owning recordTable's mutex; run is only touched on the
+// driver goroutine of the owning device, and is dropped once the job is
+// terminal so a finished record pins no simulation state.
 type record struct {
-	status    JobStatus
-	client    string
-	submitted time.Time
-	run       *cp.JobRun
-	done      chan struct{} // closed at the first terminal transition
-	terminal  bool
+	status   JobStatus
+	client   string
+	run      *cp.JobRun
+	done     chan struct{} // closed at the first terminal transition
+	terminal bool
 }
+
+// spentDone replaces a record's done channel once it is closed, so the
+// table does not keep a spent channel per finished job.
+var spentDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // recordTable is the bounded registry of submitted jobs. Eviction is FIFO
 // once max is exceeded — long-running servers keep memory flat and clients
@@ -104,13 +111,35 @@ func (t *recordTable) add(r *record) {
 
 // get returns a snapshot of the record's status.
 func (t *recordTable) get(id int64) (JobStatus, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r, ok := t.byID[id]
+	r, ok := t.lookup(id)
 	if !ok {
 		return JobStatus{}, false
 	}
-	return r.status, true
+	return t.status(r), true
+}
+
+// lookup returns the record itself, so a caller can wait on its done
+// channel. The record stays valid after eviction.
+func (t *recordTable) lookup(id int64) (*record, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r, ok := t.byID[id]
+	return r, ok
+}
+
+// status returns a snapshot of the record's status.
+func (t *recordTable) status(r *record) JobStatus {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return r.status
+}
+
+// doneCh returns the channel closed at the record's first terminal
+// transition.
+func (t *recordTable) doneCh(r *record) <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return r.done
 }
 
 // update mutates a record's status under the table lock and reports whether
@@ -125,6 +154,7 @@ func (t *recordTable) update(r *record, fn func(*JobStatus), terminal bool) (Job
 		r.terminal = true
 		first = true
 		close(r.done)
+		r.done = spentDone
 	}
 	return r.status, first
 }

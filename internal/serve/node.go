@@ -117,10 +117,9 @@ func (n *Node) Submit(j *workload.Job) *cp.JobRun {
 // Submitted returns the number of jobs submitted so far.
 func (n *Node) Submitted() int { return n.next }
 
-// Unfinished returns the node's non-terminal jobs in submission order.
-func (n *Node) Unfinished() []*cp.JobRun {
-	return n.sys.Unfinished()
-}
+// UnfinishedCount returns the number of the node's non-terminal jobs, in
+// O(1) — what headroom probes and drain loops ask on every call.
+func (n *Node) UnfinishedCount() int { return n.sys.UnfinishedCount() }
 
 // EstimateDrain predicts how long the device needs to finish every admitted
 // unfinished job — the Retry-After hint handed to rejected clients. Policies

@@ -14,8 +14,8 @@ import (
 	"laxgpu/internal/cluster"
 	"laxgpu/internal/cp"
 	"laxgpu/internal/faults"
-	"laxgpu/internal/metrics"
 	"laxgpu/internal/gpu"
+	"laxgpu/internal/metrics"
 	"laxgpu/internal/obs"
 	"laxgpu/internal/sim"
 	"laxgpu/internal/workload"
@@ -430,9 +430,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			DeadlineUs: usOf(deadline),
 			TraceID:    traceID,
 		},
-		client:    client,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
+		client: client,
+		done:   make(chan struct{}),
 	}
 	s.records.add(rec)
 	s.cSubmitted.Inc()
@@ -441,7 +440,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	driver, recorder := s.drivers[dev], s.recorders[dev]
 	ok := driver.Do(func() {
 		jr := recorder.node.Submit(job)
-		rec.run = jr
 		if t := s.tracers[dev]; t != nil {
 			t.Assign(jr.Job.ID, traceID)
 		}
@@ -460,6 +458,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			reply <- submitOutcome{rejected: true, retry: retry}
 			return
 		}
+		rec.run = jr
 		recorder.byLocal[jr.Job.ID] = rec
 		st, _ := s.records.update(rec, func(js *JobStatus) {
 			js.State = "admitted"
@@ -494,7 +493,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("wait") != "" {
 		select {
-		case <-rec.done:
+		case <-s.records.doneCh(rec):
 			st, _ = s.records.get(id)
 			writeJSON(w, http.StatusOK, st)
 		case <-r.Context().Done():
@@ -504,18 +503,37 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, st)
 }
 
+// statusHoldCap bounds how long GET /v1/jobs/{id}?wait=1 holds a request
+// on a job that is not yet terminal. It stays well under the gateway's 5 s
+// client timeout, so a held request always answers before the client gives
+// up on it; the client simply asks again.
+const statusHoldCap = 2 * time.Second
+
+// handleJob serves a job's status. With ?wait=1 it first waits for the job
+// to turn terminal, for the client to go away or for statusHoldCap —
+// whichever comes first — so a follower learns of a completion the moment
+// it happens instead of on its next poll.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad job id")
 		return
 	}
-	st, ok := s.records.get(id)
+	rec, ok := s.records.lookup(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	if r.URL.Query().Get("wait") != "" {
+		hold := time.NewTimer(statusHoldCap)
+		select {
+		case <-s.records.doneCh(rec):
+		case <-hold.C:
+		case <-r.Context().Done():
+		}
+		hold.Stop()
+	}
+	writeJSON(w, http.StatusOK, s.records.status(rec))
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -634,7 +652,7 @@ func (s *Server) handleHeadroom(w http.ResponseWriter, r *http.Request) {
 		var unfinished int
 		if !d.Call(func() {
 			drain = node.EstimateDrain()
-			unfinished = len(node.Unfinished())
+			unfinished = node.UnfinishedCount()
 		}) {
 			// The driver is gone (drained) or its queue is saturated; either
 			// way the node has no headroom to offer right now.
@@ -668,7 +686,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // completeJob finalizes a record when its job reaches a terminal state.
 // Called on the owning device's driver goroutine (from the recorder probe),
-// so reading the JobRun is safe.
+// so reading the JobRun is safe; the record lets go of it afterwards.
 func (s *Server) completeJob(rec *record, state string, met bool) {
 	jr := rec.run
 	fellBack := jr != nil && jr.FellBack
@@ -680,6 +698,7 @@ func (s *Server) completeJob(rec *record, state string, met bool) {
 			cause = metrics.ClassifyMiss(jr).String()
 		}
 	}
+	rec.run = nil
 	st, first := s.records.update(rec, func(js *JobStatus) {
 		js.State = state
 		js.MetDeadline = met
