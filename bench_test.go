@@ -193,6 +193,26 @@ func BenchmarkSweepTable5Serial(b *testing.B) { benchSweepTable5(b, 1) }
 // BenchmarkSweepTable5Parallel runs one worker per CPU.
 func BenchmarkSweepTable5Parallel(b *testing.B) { benchSweepTable5(b, 0) }
 
+// BenchmarkTable5Cell times single Table 5 cells through the runner's
+// uncached path (job set generated once, outside the timer). PREMA-HYBRID
+// loads both of the grid's hot paths: PREMA re-ranks every 250 µs over
+// HYBRID's many-kernel jobs, and the device stays saturated, so nearly
+// every dispatch pass ends in failed placements.
+func BenchmarkTable5Cell(b *testing.B) {
+	b.Run("PREMA-HYBRID", func(b *testing.B) {
+		r := benchRunner()
+		if _, err := r.JobSet("HYBRID", workload.HighRate); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := r.RunSystem("PREMA", "HYBRID", workload.HighRate); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // --- Micro-benchmarks for the simulation substrate ---
 
 // BenchmarkEngineEventChurn measures raw discrete-event throughput.
@@ -358,26 +378,61 @@ func TestUntracedFullRunAllocationGuard(t *testing.T) {
 	}
 }
 
-// TestLAXReprioritizeAllocationFree pins the incremental-laxity epoch: with
-// a warm job table, an Algorithm 2 pass — the first pass drains the dirty
-// set, every subsequent pass at the same instant is the all-clean epoch —
-// heap-allocates nothing. This is the steady-state guarantee behind the
-// LAXReprioritize numbers in BENCH_*.json.
-func TestLAXReprioritizeAllocationFree(t *testing.T) {
+// midFlightAllocs runs a 64-job high-rate LSTM trace under pol and, 2 ms
+// in (queues busy, device saturated), reports fn's heap allocations per
+// call in steady state.
+func midFlightAllocs(t *testing.T, pol cp.Policy, fn func(sys *cp.System)) float64 {
+	t.Helper()
 	lib := workload.NewLibrary(gpu.DefaultConfig())
 	bench, err := workload.FindBenchmark("LSTM")
 	if err != nil {
 		t.Fatal(err)
 	}
 	set := bench.Generate(lib, workload.HighRate, 64, 1)
-	pol := sched.NewLAX()
 	sys := cp.NewSystem(cp.DefaultSystemConfig(), set, pol)
 	allocs := -1.0
 	sys.Engine().Schedule(2*sim.Millisecond, func() {
-		allocs = testing.AllocsPerRun(1000, func() { pol.Reprioritize() })
+		if len(sys.Active()) < 2 {
+			t.Errorf("only %d active jobs mid-flight", len(sys.Active()))
+		}
+		allocs = testing.AllocsPerRun(1000, func() { fn(sys) })
 	})
 	sys.Run()
-	if allocs != 0 {
-		t.Errorf("mid-flight Reprioritize allocates %v per pass, want 0", allocs)
+	return allocs
+}
+
+// TestOrderAllocationFree pins the cyclic policies' dispatch ordering, which
+// runs on every dispatch pass (after every WG completion): with warm
+// buffers, MLFQ.Order and RR.Order allocate nothing.
+func TestOrderAllocationFree(t *testing.T) {
+	for _, pol := range []interface {
+		cp.Policy
+		cp.Orderer
+	}{sched.NewMLFQ(), sched.NewRR()} {
+		if n := midFlightAllocs(t, pol, func(sys *cp.System) { pol.Order(sys.Active()) }); n != 0 {
+			t.Errorf("%s.Order allocates %v per pass, want 0", pol.Name(), n)
+		}
+	}
+}
+
+// TestPREMAReprioritizeAllocationFree pins PREMA's epoch: tokens are keyed
+// into a reused buffer and the granted set is a prefix of the ranking, so a
+// steady-state epoch allocates nothing (no per-epoch map or ranking slice).
+func TestPREMAReprioritizeAllocationFree(t *testing.T) {
+	pol := sched.NewPREMA()
+	if n := midFlightAllocs(t, pol, func(*cp.System) { pol.Reprioritize() }); n != 0 {
+		t.Errorf("PREMA.Reprioritize allocates %v per epoch, want 0", n)
+	}
+}
+
+// TestLAXReprioritizeAllocationFree pins the incremental-laxity epoch: with
+// a warm job table, an Algorithm 2 pass — the first pass drains the dirty
+// set, every subsequent pass at the same instant is the all-clean epoch —
+// heap-allocates nothing. This is the steady-state guarantee behind the
+// LAXReprioritize numbers in BENCH_*.json.
+func TestLAXReprioritizeAllocationFree(t *testing.T) {
+	pol := sched.NewLAX()
+	if n := midFlightAllocs(t, pol, func(*cp.System) { pol.Reprioritize() }); n != 0 {
+		t.Errorf("mid-flight Reprioritize allocates %v per pass, want 0", n)
 	}
 }

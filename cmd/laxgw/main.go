@@ -42,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -218,7 +217,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: gw.Handler()}
+	hs := serve.NewHTTPServer(gw.Handler())
 	go func() { _ = hs.Serve(ln) }()
 
 	// Prime the health view before announcing readiness, so the first

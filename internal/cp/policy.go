@@ -60,6 +60,7 @@ type Orderer interface {
 	// Order returns the jobs in the sequence the CP should offer them to
 	// the device this dispatch round. It must return a permutation of
 	// active (the System does not verify, but dropping jobs starves them).
+	// The result may alias a buffer the policy reuses on its next call.
 	Order(active []*JobRun) []*JobRun
 }
 

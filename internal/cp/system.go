@@ -3,6 +3,7 @@ package cp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"laxgpu/internal/core"
@@ -76,6 +77,13 @@ type System struct {
 	orderCache []*JobRun
 	orderPrios []int64
 	orderValid bool
+
+	// noFit is the dispatch pass's memo of kernel descs that left WGs
+	// unplaced: no CU fits their footprint for the rest of the pass, so
+	// later jobs on the same desc are not offered (see Dispatch). noFitBuf
+	// backs it, so a pass with few distinct failures allocates nothing.
+	noFit    []*gpu.KernelDesc
+	noFitBuf [8]*gpu.KernelDesc
 
 	freeQueues []int
 
@@ -164,6 +172,7 @@ func NewSystem(cfg SystemConfig, set *workload.JobSet, pol Policy) *System {
 		}
 		s.jobs[i] = newJobRun(job, -1)
 	}
+	s.noFit = s.noFitBuf[:0]
 	pol.Attach(s)
 	s.orderer, _ = pol.(Orderer)
 	return s
@@ -517,6 +526,14 @@ func (s *System) releaseQueue(jr *JobRun) {
 // to the device in policy order, filling WG slots greedily ("LAX issues all
 // WGs from the highest priority job[, then] moves on to the next highest
 // priority ready job ... until all WG slots are filled", §4.4).
+//
+// Within a pass free CU resources only shrink: placing a WG schedules its
+// completion for later and releases nothing synchronously. So once a
+// kernel leaves WGs unplaced, no CU fits its footprint until the pass ends,
+// and a later job whose current kernel shares the desc would place nothing.
+// The pass skips such jobs instead of re-trying them. A failed placement
+// scan moves no state (not even RoundRobin's cursor), so the skip leaves
+// the schedule bit-identical under every placement policy.
 func (s *System) Dispatch() {
 	if s.dev.Stalled() {
 		if !s.stallKickArmed {
@@ -530,13 +547,18 @@ func (s *System) Dispatch() {
 	}
 	observer, _ := s.pol.(ServeObserver)
 	order := s.dispatchOrder()
+	s.noFit = s.noFit[:0]
 	for _, jr := range order {
 		inst := jr.Current()
-		if inst == nil || !inst.Dispatchable() {
+		if inst == nil || !inst.Dispatchable() || slices.Contains(s.noFit, inst.Desc) {
 			continue
 		}
 		wasRunning := inst.State() == gpu.KernelRunning
-		if s.dev.TryDispatch(inst, -1) > 0 {
+		placed := s.dev.TryDispatch(inst, -1)
+		if inst.RemainingWGs() > 0 {
+			s.noFit = append(s.noFit, inst.Desc)
+		}
+		if placed > 0 {
 			jr.state = JobRunning
 			if jr.FirstDispatch < 0 {
 				jr.FirstDispatch = s.eng.Now()

@@ -136,3 +136,31 @@ func TestPlacementPoliciesAllComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedPlacementKeepsRoundRobinCursor pins the property the CP's
+// dispatch-pass memo relies on: a TryDispatch that places nothing changes
+// no device state, not even RoundRobin's scan cursor, so skipping it is
+// unobservable.
+func TestFailedPlacementKeepsRoundRobinCursor(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Placement = RoundRobin
+	d := New(cfg, sim.NewEngine())
+	// Half-CU WGs: one on every CU, then a second on CUs 0-2, leaving the
+	// cursor at CU3 and no CU with a whole CU's threads free.
+	half := NewKernelInstance(testKernel("half", cfg.NumCUs+3, cfg.ThreadsPerCU/2, sim.Millisecond, 0), 0, 0, 0)
+	half.MarkReady(0)
+	if got := d.TryDispatch(half, -1); got != cfg.NumCUs+3 {
+		t.Fatalf("half placed %d WGs, want %d", got, cfg.NumCUs+3)
+	}
+	if d.rrCursor != 3 {
+		t.Fatalf("cursor at %d after the warm-up, want 3", d.rrCursor)
+	}
+	whole := NewKernelInstance(testKernel("whole", 1, cfg.ThreadsPerCU, sim.Millisecond, 0), 1, 1, 0)
+	whole.MarkReady(0)
+	if got := d.TryDispatch(whole, -1); got != 0 {
+		t.Fatalf("whole-CU WG placed on a device with no empty CU (%d)", got)
+	}
+	if d.rrCursor != 3 {
+		t.Fatalf("failed placement moved the round-robin cursor 3 -> %d", d.rrCursor)
+	}
+}

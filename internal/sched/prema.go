@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"laxgpu/internal/cp"
 	"laxgpu/internal/sim"
@@ -25,6 +26,21 @@ const premaSaveRestoreBytesPerNs = 100
 // save/restore cost.
 type PREMA struct {
 	sys *cp.System
+
+	// ideal is each job's predicted isolated time, by Job.ID, computed once
+	// at admission: the device config it derives from is immutable.
+	ideal []sim.Time
+
+	// ranked is the epoch's ranking buffer, reused across epochs.
+	ranked []premaKey
+}
+
+// premaKey is one job's token for the current epoch. The token depends only
+// on the job and Now(), which is fixed within an epoch, so it is computed
+// once per job and the sort compares keys.
+type premaKey struct {
+	j     *cp.JobRun
+	token float64
 }
 
 // NewPREMA returns the PREMA scheduler.
@@ -39,6 +55,10 @@ func (p *PREMA) Attach(s *cp.System) { p.sys = s }
 // Admit implements cp.Policy: PREMA has no deadline-based admission.
 func (p *PREMA) Admit(j *cp.JobRun) bool {
 	j.Priority = 0
+	if id := j.Job.ID; id >= len(p.ideal) {
+		p.ideal = append(p.ideal, make([]sim.Time, id+1-len(p.ideal))...)
+	}
+	p.ideal[j.Job.ID] = max(staticJobTime(p.sys.Device().Config(), j), 1)
 	probeAdmission(p.sys, p.Name(), j, true)
 	return true
 }
@@ -48,15 +68,8 @@ func (p *PREMA) Admit(j *cp.JobRun) bool {
 // accumulate tokens and win the next epoch (PREMA "reactively predicts
 // based on feedback from running jobs", §6.1.2).
 func (p *PREMA) token(j *cp.JobRun) float64 {
-	ideal := staticJobTime(p.sys.Device().Config(), j)
-	if ideal <= 0 {
-		ideal = 1
-	}
-	elapsed := p.sys.Now() - j.SubmitTime
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	return float64(elapsed) / float64(ideal)
+	elapsed := max(p.sys.Now()-j.SubmitTime, 0)
+	return float64(elapsed) / float64(p.ideal[j.Job.ID])
 }
 
 // Reprioritize implements cp.Policy: one PREMA epoch. Rank jobs by token,
@@ -69,35 +82,37 @@ func (p *PREMA) Reprioritize() {
 	if len(active) == 0 {
 		return
 	}
-	ranked := make([]*cp.JobRun, len(active))
-	copy(ranked, active)
-	sort.SliceStable(ranked, func(a, b int) bool {
-		ta, tb := p.token(ranked[a]), p.token(ranked[b])
-		if ta != tb {
-			return ta > tb
+	ranked := p.ranked[:0]
+	for _, j := range active {
+		ranked = append(ranked, premaKey{j, p.token(j)})
+	}
+	slices.SortStableFunc(ranked, func(a, b premaKey) int {
+		if a.token != b.token {
+			return cmp.Compare(b.token, a.token)
 		}
-		return ranked[a].SubmitTime < ranked[b].SubmitTime
+		return cmp.Compare(a.j.SubmitTime, b.j.SubmitTime)
 	})
+	p.ranked = ranked
 
+	// The granted jobs are the ranking's prefix ranked[:granted].
 	capacity := p.sys.Device().Config().TotalThreads()
-	granted := make(map[*cp.JobRun]bool, len(ranked))
-	demand := 0
-	for _, j := range ranked {
-		if demand >= capacity {
-			break
-		}
-		granted[j] = true
-		if k := j.Current(); k != nil {
+	granted, demand := 0, 0
+	for ; granted < len(ranked) && demand < capacity; granted++ {
+		if k := ranked[granted].j.Current(); k != nil {
 			demand += k.Desc.TotalThreads()
 		}
 	}
 
-	// Preempt jobs losing the device; a job descheduled while it has WGs
-	// in flight pays for saving its kernel context (newly paused only —
-	// an already-parked job costs nothing more).
+	// Resume the granted jobs in rank order and preempt the rest; a job
+	// descheduled while it has WGs in flight pays for saving its kernel
+	// context (newly paused only — an already-parked job costs nothing
+	// more).
 	var preemptBytes int
-	for _, j := range active {
-		if granted[j] {
+	for rank, key := range ranked {
+		j := key.j
+		if rank < granted {
+			j.Resume()
+			j.Priority = int64(rank)
 			continue
 		}
 		if !j.Paused() {
@@ -106,14 +121,7 @@ func (p *PREMA) Reprioritize() {
 			}
 		}
 		j.Pause()
-	}
-	for rank, j := range ranked {
-		if granted[j] {
-			j.Resume()
-			j.Priority = int64(rank)
-		} else {
-			j.Priority = int64(len(ranked) + 1)
-		}
+		j.Priority = int64(len(ranked) + 1)
 	}
 
 	if preemptBytes > 0 {

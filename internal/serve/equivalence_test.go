@@ -89,7 +89,7 @@ func compareRuns(t *testing.T, simJobs, onlJobs []*cp.JobRun) {
 func TestOnlineMatchesSimMode(t *testing.T) {
 	cfg := cp.DefaultSystemConfig()
 	lib := workload.NewLibrary(cfg.GPU)
-	policies := []string{"LAX", "LAX-SW", "EDF", "SRF", "RR", "ORACLE"}
+	policies := []string{"LAX", "LAX-SW", "EDF", "SRF", "RR", "MLFQ", "PREMA", "ORACLE"}
 	benches := []string{"LSTM", "STEM", "CUCKOO"}
 	for _, policy := range policies {
 		for _, name := range benches {

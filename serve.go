@@ -115,7 +115,7 @@ func StartServer(o ServerOptions) (*Server, error) {
 	inner.Start()
 	s := &Server{
 		inner: inner,
-		http:  &http.Server{Handler: inner.Handler()},
+		http:  serve.NewHTTPServer(inner.Handler()),
 		ln:    ln,
 	}
 	go func() {
